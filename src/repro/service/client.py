@@ -21,6 +21,15 @@ references a span it does not contain.  ``last_trace`` holds the
 for fetching the server-side span tree via ``GET /v1/traces/<id>``.
 Propagation is per-request: every request on a reused connection carries
 the header and every response echoes it.
+
+:meth:`ServiceClient.wait` long-polls: against a daemon whose job views
+advertise ``wait_max_seconds``, it sends ``GET /v1/jobs/<id>?wait=S``
+and the daemon answers the moment the job finishes, so a job that ends
+within one hold costs exactly one request after the submit.  The client
+learns the cap from the :meth:`~ServiceClient.submit` (or
+:meth:`~ServiceClient.status`) response.  Against a daemon that never
+advertised it, ``wait()`` falls back to polling with exponential
+backoff from ``poll`` to ``poll_cap``.
 """
 
 from __future__ import annotations
@@ -35,8 +44,9 @@ from urllib.parse import urlsplit
 
 from ..trace import TRACE_HEADER
 
-#: wait()'s poll backoff: start fast, cap at 2s so N waiting clients
-#: don't hammer /v1/jobs/<id> at saturation
+#: wait()'s poll backoff against a daemon that does not long-poll:
+#: start fast, cap at 2s so N waiting clients don't hammer
+#: /v1/jobs/<id> at saturation
 WAIT_POLL_INITIAL = 0.1
 WAIT_POLL_CAP = 2.0
 
@@ -90,6 +100,9 @@ class ServiceClient:
         self.requests_sent = 0
         #: X-Repro-Trace header of the last response (None before any call)
         self.last_trace: Optional[str] = None
+        #: the daemon's long-poll cap (seconds) from its last job view;
+        #: None until one advertised it — wait() polls meanwhile
+        self.wait_max: Optional[float] = None
         split = urlsplit(self.url)
         if split.scheme not in ("http", ""):
             raise ValueError(f"unsupported scheme in {url!r} (http only)")
@@ -263,15 +276,26 @@ class ServiceClient:
     def health(self) -> dict:
         return self._call("GET", "/healthz")
 
+    def _note_wait_max(self, view: dict) -> dict:
+        """Record the long-poll cap a job view advertises (None: the
+        daemon does not long-poll)."""
+        self.wait_max = view.get("wait_max_seconds")
+        return view
+
     def submit(self, request: dict) -> dict:
         """POST a job; returns the queued job view (``id``, ``status``)."""
-        return self._call("POST", "/v1/jobs", request)
+        return self._note_wait_max(self._call("POST", "/v1/jobs", request))
 
     def jobs(self) -> dict:
         return self._call("GET", "/v1/jobs")
 
-    def status(self, job_id: int) -> dict:
-        return self._call("GET", f"/v1/jobs/{job_id}")
+    def status(self, job_id: int, wait: Optional[float] = None) -> dict:
+        """The job view; with ``wait``, a long-poll that the daemon holds
+        up to that many seconds (and its cap) until the job finishes."""
+        query = "" if wait is None else f"?wait={wait:.3f}"
+        return self._note_wait_max(
+            self._call("GET", f"/v1/jobs/{job_id}{query}")
+        )
 
     def result(self, job_id: int) -> dict:
         """The finished job's BENCH artifact (raises until it is done)."""
@@ -280,22 +304,32 @@ class ServiceClient:
     def wait(self, job_id: int, timeout: float = 300.0,
              poll: float = WAIT_POLL_INITIAL,
              poll_cap: float = WAIT_POLL_CAP) -> dict:
-        """Poll until the job leaves the queue; returns its final view.
+        """Wait until the job is done or failed; returns its final view.
 
-        The poll interval backs off exponentially from ``poll`` to
-        ``poll_cap`` (0.1s -> 2s by default): a quick job is noticed
-        fast, a long-running one costs a bounded ~0.5 req/s instead of
-        the old fixed-interval hammering."""
+        Against a daemon that advertised its long-poll cap
+        (:attr:`wait_max`), each request is a long-poll held until the
+        job finishes, up to the cap, half the socket timeout and what is
+        left of ``timeout``.  Otherwise the status is polled, the
+        interval backing off exponentially from ``poll`` to ``poll_cap``
+        (0.1s -> 2s by default): a quick job is noticed fast, a
+        long-running one costs a bounded ~0.5 req/s."""
         deadline = time.monotonic() + timeout
         delay = max(0.01, float(poll))
         while True:
-            job = self.status(job_id)
+            if self.wait_max is None:
+                job = self.status(job_id)
+            else:
+                hold = min(self.wait_max, deadline - time.monotonic())
+                if self.timeout is not None:
+                    hold = min(hold, self.timeout / 2)
+                job = self.status(job_id, wait=max(0.0, hold))
             if job["status"] in ("done", "failed"):
                 return job
             if time.monotonic() > deadline:
                 raise ServiceError(0, f"timed out waiting for job {job_id}")
-            time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
-            delay = min(poll_cap, delay * 2)
+            if self.wait_max is None:
+                time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
+                delay = min(poll_cap, delay * 2)
 
     def stats(self) -> dict:
         return self._call("GET", "/v1/stats")

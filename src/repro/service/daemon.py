@@ -33,6 +33,21 @@ Concurrency model (``workers=`` / ``repro-serve --workers N|auto``):
   ``Connection: keep-alive`` (the pooled ``ServiceClient``) gets the
   connection reused across requests.
 
+Job completion is **long-polled**: ``GET /v1/jobs/<id>?wait=S`` holds the
+request as a coroutine on the event loop (no executor thread, no worker
+slot) until the job turns ``done``/``failed`` or ``S`` seconds pass,
+then answers with the normal job view; a finished job answers at once.
+``S`` is capped at :data:`LONG_POLL_MAX_SECONDS`, below the client's
+30 s socket timeout, and every job view advertises the cap as
+``wait_max_seconds`` — a client long-polls only against a daemon that
+advertised it.  Holds are woken where jobs become terminal: the end of
+a drain task's job (coalesced followers with it, in
+:meth:`ExperimentService._resolve_followers`) and drain shedding.
+``stop()`` answers every held long-poll before closing connections.
+A long-poll's hold is left out of ``service.http_latency_us``;
+``service.wait_notify_us`` times terminal transition to response
+written.
+
 Robustness layer (overload, wedged jobs, crashed daemons, shared stores):
 
 * **Admission control** — ``max_queue`` bounds the job queue; an
@@ -54,7 +69,10 @@ Robustness layer (overload, wedged jobs, crashed daemons, shared stores):
   fencing token inside the transaction, so a daemon that lost the lease
   mid-job gets a structured ``lease-lost`` failure, never a torn append.
   The lease loser degrades to memo-only and retries acquisition with
-  deterministic jittered backoff.
+  deterministic jittered backoff.  Lease transitions on daemon threads
+  and job-worker forks are serialised by one lock: a worker forked while
+  a renewal holds the store's write lock would inherit SQLite's lock
+  state and fail every write with ``database is locked``.
 * **Graceful drain** — ``drain()`` (SIGTERM in ``repro-serve``) stops
   admission immediately (structured 503s), sheds queued jobs, lets
   running jobs finish up to the drain budget then kills their groups,
@@ -131,6 +149,11 @@ LATENCY_BUCKETS_US = (
 #: hard ceiling on any job deadline when no service default caps it
 DEADLINE_CAP_SECONDS = 3600.0
 
+#: ceiling on a long-poll's hold (``GET /v1/jobs/<id>?wait=S``), kept
+#: below the client's 30 s socket timeout so a held request never times
+#: out the connection it rides on; advertised as ``wait_max_seconds``
+LONG_POLL_MAX_SECONDS = 20.0
+
 #: Retry-After is clamped to this window (seconds)
 RETRY_AFTER_MIN, RETRY_AFTER_MAX = 1, 120
 
@@ -175,7 +198,9 @@ def _collect_in_worker(config: dict) -> dict:
 
     request = config["request"]
     profiles = baseline.resolve_profiles(request["profiles"])
-    suite = baseline.resolve_suite(request["benchmarks"], request["scale"])
+    # the suite as the daemon resolved it at submission — explicit
+    # per-benchmark params included, exactly what the cell keys name
+    suite = config["suite"]
     tracer = Tracer()
     ctx = TraceContext(
         tracer, config["trace_id"] or new_trace_id(), config["parent_span"]
@@ -305,18 +330,26 @@ def _run_job_subprocess(config: dict) -> dict:
 
     Shepherd-only keys (stripped before the child sees the config):
     ``_deadline`` (monotonic expiry), ``_cancel`` (``threading.Event``
-    set by drain), ``_kill_at_start`` (chaos ``job_kill`` site).
+    set by drain), ``_kill_at_start`` (chaos ``job_kill`` site),
+    ``_fork_lock`` (held across the fork so no daemon-thread lease
+    transition holds a store lock the child would inherit).
+
+    A successful payload gains ``spawn_us``: fork-lock wait plus
+    ``proc.start()`` through the parent's ``setpgid``.
     """
     from ..parallel.pool import _pool_context
 
     deadline = config.pop("_deadline", None)
     cancel = config.pop("_cancel", None)
     kill_at_start = config.pop("_kill_at_start", False)
+    fork_lock = config.pop("_fork_lock")
 
     ctx = _pool_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_job_worker, args=(child_conn, config))
-    proc.start()
+    t_spawn = time.monotonic()
+    with fork_lock:
+        proc.start()
     child_conn.close()
     # parent-side half of the both-sides setpgid idiom: whichever of
     # parent/child runs first makes the child a group leader, so the
@@ -326,6 +359,7 @@ def _run_job_subprocess(config: dict) -> dict:
             os.setpgid(proc.pid, proc.pid)
         except OSError:
             pass
+    spawn_us = (time.monotonic() - t_spawn) * 1e6
     killed: Optional[str] = None
     kind = payload = None
     try:
@@ -389,6 +423,7 @@ def _run_job_subprocess(config: dict) -> dict:
                 kind=payload.get("kind", "error"),
             )
         raise _RemoteJobError(str(payload))
+    payload["spawn_us"] = spawn_us
     return payload
 
 
@@ -498,6 +533,11 @@ class ExperimentService:
         self._lease_held = False
         self._lease_attempts = 0
         self._lease_task: Optional[asyncio.Task] = None
+        #: serialises daemon-thread lease transitions (BEGIN IMMEDIATE)
+        #: with job-worker forks: a child forked while this process holds
+        #: a store write lock inherits SQLite's lock state and can never
+        #: write
+        self._fork_lock = threading.Lock()
         self.registry = registry if registry is not None else MetricsRegistry()
         self._trace_sink = JsonlSink(trace_log) if trace_log else None
         self.tracer = Tracer(
@@ -520,6 +560,12 @@ class ExperimentService:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._read_pool = None
         self._connections: Set[object] = set()
+        #: job id -> event set when that job turns terminal; created by
+        #: the first long-poll on the job, dropped when it fires
+        self._terminal_events: Dict[int, asyncio.Event] = {}
+        #: long-polls currently holding (stop() waits for them to answer)
+        self._long_polls_held = 0
+        self._stopping = False
         self._inflight = 0
         self.started_unix: Optional[float] = None
         self._started_monotonic: Optional[float] = None
@@ -540,7 +586,10 @@ class ExperimentService:
         self.registry.counter("service.breaker_trips")
         self.registry.counter("service.lease_lost_total")
         self.registry.counter("service.fault_injections")
+        self.registry.counter("service.long_polls_total")
         self.registry.histogram("service.http_latency_us", LATENCY_BUCKETS_US)
+        self.registry.histogram("service.wait_notify_us", LATENCY_BUCKETS_US)
+        self.registry.histogram("service.job_spawn_us", LATENCY_BUCKETS_US)
         self.registry.histogram(
             "service.job_queue_wait_us", LATENCY_BUCKETS_US
         )
@@ -603,6 +652,18 @@ class ExperimentService:
         return self._server.sockets[0].getsockname()[:2]
 
     async def stop(self) -> None:
+        # stop accepting, then answer every held long-poll with its job's
+        # current view before the connections are closed below (Python
+        # 3.12's wait_closed() waits for every open connection)
+        self._stopping = True
+        if self._server is not None:
+            self._server.close()
+        for event in self._terminal_events.values():
+            event.set()
+        self._terminal_events.clear()
+        released = time.monotonic() + 1.0
+        while self._long_polls_held and time.monotonic() < released:
+            await asyncio.sleep(0.001)
         if self._lease_task is not None:
             self._lease_task.cancel()
             try:
@@ -611,14 +672,17 @@ class ExperimentService:
                 pass
             self._lease_task = None
         if self._lease is not None:
-            try:
-                if self._lease_held:
-                    self._lease.release()
-            finally:
-                self._lease.close()
-                self._lease = None
-                self._lease_held = False
-                self.registry.gauge("service.lease_held").set(0)
+            # closing may checkpoint the WAL under an exclusive lock, so
+            # it excludes forks too
+            with self._fork_lock:
+                try:
+                    if self._lease_held:
+                        self._lease.release()
+                finally:
+                    self._lease.close()
+                    self._lease = None
+                    self._lease_held = False
+                    self.registry.gauge("service.lease_held").set(0)
         for task in self._drainers:
             task.cancel()
         for task in self._drainers:
@@ -636,7 +700,6 @@ class ExperimentService:
             writer.close()
         self._connections.clear()
         if self._server is not None:
-            self._server.close()
             await self._server.wait_closed()
             self._server = None
         if self._read_pool is not None:
@@ -663,7 +726,9 @@ class ExperimentService:
                 await asyncio.sleep(self.lease_ttl / 3.0)
                 if self._lease is None:
                     return
-                ok = await loop.run_in_executor(None, self._lease.renew)
+                ok = await loop.run_in_executor(
+                    None, self._lease_transition, self._lease.renew
+                )
                 if not ok:
                     self._note_lease_lost("renewal refused: lease was stolen")
             else:
@@ -672,11 +737,19 @@ class ExperimentService:
                 await asyncio.sleep(delay)
                 if self._lease is None:
                     return
-                ok = await loop.run_in_executor(None, self._lease.try_acquire)
+                ok = await loop.run_in_executor(
+                    None, self._lease_transition, self._lease.try_acquire
+                )
                 if ok:
                     self._lease_held = True
                     self._lease_attempts = 0
                     self.registry.gauge("service.lease_held").set(1)
+
+    def _lease_transition(self, method):
+        """Run one lease transition under the fork lock, so no job worker
+        is forked while it holds the store's write lock."""
+        with self._fork_lock:
+            return method()
 
     def _note_lease_lost(self, detail: str) -> None:
         """Event-loop-thread bookkeeping for a lost lease: stop fencing
@@ -849,7 +922,7 @@ class ExperimentService:
         from ..store import WriterLease
 
         ttl = min(1.0, self.lease_ttl / 4.0)
-        with WriterLease(
+        with self._fork_lock, WriterLease(
             self.store_path, holder=f"chaos-thief-{job_id}", ttl=ttl
         ) as thief:
             thief.steal()
@@ -972,6 +1045,9 @@ class ExperimentService:
                 "dispatch": dispatch,
                 "git_sha": request.get("git_sha"),
             },
+            # the resolved (name, params) pairs the cell keys were
+            # computed from — what the worker runs
+            "suite": [(name, dict(params)) for name, params in suite],
             "stats": None,
             "error": None,
             # wall-clock lifecycle stamps: unix pairs for display,
@@ -1038,6 +1114,7 @@ class ExperimentService:
         before the child sees the config."""
         config = {
             "request": dict(job["request"]),
+            "suite": job["suite"],
             "store_path": self.store_path,
             "jobs": self.jobs,
             "cache_dir": self.cache_dir,
@@ -1054,6 +1131,7 @@ class ExperimentService:
             ),
             "_cancel": job.get("_cancel"),
             "_kill_at_start": job.get("fault_site") == "job_kill",
+            "_fork_lock": self._fork_lock,
         }
         if job.get("deadline_seconds") is not None:
             config["_deadline"] = (
@@ -1075,6 +1153,14 @@ class ExperimentService:
             hits=stats["hits"],
             compile_calls=stats["compile_calls"],
         )
+        spawn_us = payload.get("spawn_us")
+        if spawn_us is not None:
+            # an attribute, not a child span: job.execute's self time
+            # keeps covering the fork
+            span.set(spawn_us=round(spawn_us, 1))
+            self.registry.histogram(
+                "service.job_spawn_us", LATENCY_BUCKETS_US
+            ).observe(spawn_us)
         self._compile_totals["compile_source_calls"] += stats["compile_calls"]
         self.registry.counter("service.cells").add(stats["cells"])
         self.registry.counter("service.cache_hits").add(stats["hits"])
@@ -1087,7 +1173,8 @@ class ExperimentService:
         """Propagate a finished primary to its coalesced followers: same
         artifact and timestamps, but zero compiles and zero executed
         cells of their own — they are served entirely from the primary's
-        execution."""
+        execution.  Then wake every long-poll held on the primary or a
+        follower: every terminal transition passes through here."""
         for follower_id in job["followers"]:
             follower = self._jobs[follower_id]
             follower["status"] = job["status"]
@@ -1106,6 +1193,10 @@ class ExperimentService:
                     f"coalesced with job {job['id']}, which failed: "
                     f"{job['error']}"
                 )
+        for job_id in (job["id"], *job["followers"]):
+            event = self._terminal_events.pop(job_id, None)
+            if event is not None:
+                event.set()
 
     async def _drain_jobs(self) -> None:
         loop = asyncio.get_event_loop()
@@ -1253,6 +1344,7 @@ class ExperimentService:
             "deadline_seconds": job.get("deadline_seconds"),
             "memo_only": bool(job.get("memo_only")),
             "fault_site": job.get("fault_site"),
+            "wait_max_seconds": LONG_POLL_MAX_SECONDS,
         }
 
     def _get_job(self, job_id: str) -> dict:
@@ -1261,6 +1353,48 @@ class ExperimentService:
         except (KeyError, ValueError):
             raise HttpError(404, f"no job {job_id!r}")
         return job
+
+    async def _long_poll(self, request: Request):
+        """Hold ``GET /v1/jobs/<id>?wait=S`` until the job is terminal or
+        ``S`` (capped at :data:`LONG_POLL_MAX_SECONDS`) seconds pass.
+
+        Runs on the event loop and holds nothing but an event.  Returns
+        ``(held_seconds, job)``, where ``job`` is set only when a
+        terminal transition woke the hold; a request that is not a
+        long-poll returns ``(0.0, None)`` untouched.  A bad ``wait`` is a
+        400 and an unknown job a 404, both at once."""
+        path = request.path.rstrip("/")
+        if (
+            request.method != "GET"
+            or "wait" not in request.query
+            or not path.startswith("/v1/jobs/")
+            or path.endswith("/result")
+        ):
+            return 0.0, None
+        raw = request.query["wait"]
+        try:
+            hold = float(raw)
+        except ValueError:
+            hold = math.nan
+        if not math.isfinite(hold) or hold < 0:
+            raise HttpError(400, f"bad wait {raw!r} (seconds >= 0)")
+        job = self._get_job(path[len("/v1/jobs/"):])
+        self.registry.counter("service.long_polls_total").add(1)
+        if job["status"] in ("done", "failed") or self._stopping or not hold:
+            return 0.0, None
+        event = self._terminal_events.setdefault(job["id"], asyncio.Event())
+        self._long_polls_held += 1
+        t_hold = time.monotonic()
+        try:
+            await asyncio.wait_for(
+                event.wait(), min(hold, LONG_POLL_MAX_SECONDS)
+            )
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            self._long_polls_held -= 1
+        woken = job if job["status"] in ("done", "failed") else None
+        return time.monotonic() - t_hold, woken
 
     def _read_store(self):
         """A read connection for query endpoints — pooled when the daemon
@@ -1471,11 +1605,10 @@ class ExperimentService:
         trace_id = trace_id or new_trace_id()
         request_span = new_span_id()
         ctx = TraceContext(self.tracer, trace_id, request_span)
-        # keep-alive is strictly opt-in (pooled clients ask for it);
-        # protocol errors always close
-        keep_alive = request is not None and request.wants_keep_alive()
+        held, woken = 0.0, None
         if request is not None:
             try:
+                held, woken = await self._long_poll(request)
                 result = self._handle(request, ctx)
                 status, payload = result[0], result[1]
                 content_type = result[2] if len(result) > 2 else None
@@ -1484,6 +1617,13 @@ class ExperimentService:
                 extra_headers = exc.headers
             except Exception as exc:  # noqa: BLE001 — keep the daemon alive
                 status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        # keep-alive is strictly opt-in (pooled clients ask for it);
+        # protocol errors and a stopping daemon always close
+        keep_alive = (
+            request is not None
+            and request.wants_keep_alive()
+            and not self._stopping
+        )
         response_headers = {
             "X-Repro-Trace": format_trace_header(trace_id, request_span)
         }
@@ -1521,9 +1661,14 @@ class ExperimentService:
             self.registry.counter("service.http_requests").add(1)
             if status >= 400:
                 self.registry.counter("service.http_errors").add(1)
+            # a long-poll's hold is waiting for the job, not serving
             self.registry.histogram(
                 "service.http_latency_us", LATENCY_BUCKETS_US
-            ).observe((now - t_request) * 1e6)
+            ).observe((now - t_request - held) * 1e6)
+            if woken is not None:
+                self.registry.histogram(
+                    "service.wait_notify_us", LATENCY_BUCKETS_US
+                ).observe((now - woken["finished_monotonic"]) * 1e6)
         return keep_alive
 
 
